@@ -15,7 +15,8 @@ One configurable engine drives every RL-based method in the tables:
 The engine instruments exactly what the tables need: downstream
 feature-evaluation counts (Table IV), generation vs evaluation wall time
 (Table I), best score (Table III) and the selected feature specs
-(cached for Table V's downstream-task replacement).
+(cached for Table V's downstream-task replacement). The FPE gate's own
+time (signature plus pre-selector) has its own timer, outside both.
 """
 from __future__ import annotations
 
@@ -98,6 +99,7 @@ class AFEResult:
     n_evaluated: int = 0  # downstream (RF-CV) evaluations of candidates
     gen_time: float = 0.0
     eval_time: float = 0.0
+    fpe_time: float = 0.0  # FPE gate: signature + pre-selector, both stages
     total_time: float = 0.0
     selected_specs: list[FeatureSpec] = field(default_factory=list)
     feature_names: list[str] = field(default_factory=list)
@@ -231,7 +233,9 @@ class _Engine:
 
     def _fpe_p(self, values: np.ndarray) -> float:
         """FPE probability for a candidate, recorded for gate calibration."""
+        t0 = time.perf_counter()
         p = self.fpe.predict_proba(values, self.y, self.task, context=self.X)
+        self.res.fpe_time += time.perf_counter() - t0
         self._p_seen.append(p)
         return p
 

@@ -56,6 +56,7 @@ class TestEAFERun:
                                           two_stage=False, dedup=False))
         # every generated (finite, non-degenerate) feature is evaluated
         assert r.n_evaluated == r.n_generated
+        assert r.fpe_time == 0.0  # no FPE gate runs
 
     def test_dropout_mode(self, data):
         X, y = data
@@ -87,7 +88,8 @@ class TestEAFERun:
     def test_timers_partition_total(self, data, fpe):
         X, y = data
         r = run_afe(X, y, "C", fpe, TINY)
-        assert r.gen_time + r.eval_time <= r.total_time
+        assert r.gen_time + r.eval_time + r.fpe_time <= r.total_time
+        assert r.fpe_time > 0.0
         assert r.eval_time > r.gen_time  # the paper's core observation
 
     def test_max_order_respected(self, data, fpe):
